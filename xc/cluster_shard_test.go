@@ -51,7 +51,8 @@ func TestClusterShardInvariantJSON(t *testing.T) {
 }
 
 // TestClusterShardInvariantIngressJSON: the same invariance holds with
-// the L7 ingress tier's retry/hedge machinery in front of the fleet.
+// the L7 ingress tier's retry/hedge machinery in front of the fleet, and
+// the report is pinned byte for byte in testdata.
 func TestClusterShardInvariantIngressJSON(t *testing.T) {
 	spec := ClusterSpec{
 		Nodes:    2,
@@ -75,6 +76,9 @@ func TestClusterShardInvariantIngressJSON(t *testing.T) {
 			t.Fatalf("ingress fleet diverged at Shards=%d", shards)
 		}
 	}
+	// Pin the bytes too: invariance across shard counts cannot see a
+	// change that moves every shard count the same way.
+	checkGolden(t, "cluster_ingress_sharded.json", want)
 }
 
 // TestClusterEpochIsModelParameter: EpochMicros changes results (the
