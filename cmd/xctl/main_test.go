@@ -202,6 +202,27 @@ func TestClusterIngressFlags(t *testing.T) {
 	}
 }
 
+// TestClusterIngressPolicyValidation: out-of-range robustness knobs
+// are rejected where the route policy enters the system. Each of these
+// used to exit 0 — hedging at p >= 1, NaN thresholds, a negative shed
+// depth, and a negative timeout that wrapped into instant expiry.
+func TestClusterIngressPolicyValidation(t *testing.T) {
+	base := []string{"-cluster", "-nodes", "2", "-replicas", "4", "-ingress-policy", "p2c",
+		"-shards", "2", "-duration", "0.02", "-json"}
+	for _, bad := range [][]string{
+		{"-hedge-p", "2"},
+		{"-hedge-p", "NaN"},
+		{"-breaker-rate", "NaN"},
+		{"-breaker-rate", "1.5"},
+		{"-shed-depth", "-3"},
+		{"-timeout-us", "-1"},
+	} {
+		if err := run(append(append([]string{}, base...), bad...), &bytes.Buffer{}); err == nil {
+			t.Errorf("%v accepted", bad)
+		}
+	}
+}
+
 // TestClusterShardFlags: -shards selects the epoch-sharded engine, and
 // the JSON document is byte-identical for any shard and worker count.
 func TestClusterShardFlags(t *testing.T) {

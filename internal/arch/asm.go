@@ -112,13 +112,6 @@ func (a *Assembler) Jnz(label string) *Assembler {
 	return a
 }
 
-// JmpShort emits jmp rel8 to a label (must be within ±127 bytes).
-func (a *Assembler) JmpShort(label string) *Assembler {
-	a.emit(EncJmpRel8(0))
-	a.fixups = append(a.fixups, fixup{at: len(a.code) - 1, size: 1, label: label, end: len(a.code)})
-	return a
-}
-
 // Jnz32 emits jnz rel32 to a label (for loop bodies larger than rel8
 // range).
 func (a *Assembler) Jnz32(label string) *Assembler {

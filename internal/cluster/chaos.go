@@ -323,7 +323,7 @@ func (x *chaosExec) endWindow(fi int, f *chaos.Fault) bool {
 }
 
 // applyGray turns a replica gray under fault fi: scaled cost plus an
-// error coin, mirrored into the single-engine ingress backend when one
+// error coin, copied into the single-engine ingress backend when one
 // fronts the fleet. First window wins on overlap.
 func (x *chaosExec) applyGray(ct *container, fi int) {
 	if ct.gray != 0 {

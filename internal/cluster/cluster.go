@@ -206,7 +206,7 @@ type IngressConfig struct {
 	Cores int
 }
 
-// Traffic describes the offered load, mirroring workload.TrafficLoad's
+// Traffic describes the offered load in workload.TrafficLoad's
 // arrival modes: open loop (Rate or Burst) or a closed-loop population.
 type Traffic struct {
 	Rate        float64
@@ -374,6 +374,11 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.EpochUS < 0 {
 		return nil, fmt.Errorf("cluster: EpochUS must not be negative")
 	}
+	if cfg.Ingress != nil {
+		if err := cfg.Ingress.Route.Validate(); err != nil {
+			return nil, fmt.Errorf("cluster: ingress route: %w", err)
+		}
+	}
 	cfg.Platform.MachineMB = 0
 	cfg.Platform.MachineFrames = 0
 
@@ -434,31 +439,37 @@ func New(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
+// ingressPolicies derives the ingress tier's two routes from the
+// config: the ingress→fleet route (a zero ConnSetup defaults to the
+// architecture's connection-accept cost), and the client→ingress entry
+// under the same connection regime — the entry itself never retries,
+// that is the fleet route's job. cores is the proxy's allocation.
+func (c *Cluster) ingressPolicies() (route, entry ingress.RoutePolicy, cores int) {
+	ic := c.cfg.Ingress
+	route = ic.Route
+	if route.ConnSetup == 0 {
+		route.ConnSetup = ingress.ConnSetupCost(c.arch.rt)
+	}
+	entry = ingress.RoutePolicy{ConnSetup: route.ConnSetup, KeepAlive: route.KeepAlive, KeepAliveReqs: route.KeepAliveReqs}
+	cores = ic.Cores
+	if cores <= 0 {
+		cores = 2
+	}
+	return route, entry, cores
+}
+
 // buildIngress assembles the single-engine proxy→fleet service graph.
 // Containers register as fleet replicas in addContainer; the graph is
 // reseeded from the traffic seed at Run time.
 func (c *Cluster) buildIngress() {
-	ic := c.cfg.Ingress
-	cores := ic.Cores
-	if cores <= 0 {
-		cores = 2
-	}
-	route := ic.Route
-	if route.ConnSetup == 0 {
-		route.ConnSetup = ingress.ConnSetupCost(c.arch.rt)
-	}
+	route, entry, cores := c.ingressPolicies()
 	g := ingress.NewGraph(c.eng, 0)
 	proxy := g.AddService("ingress", ingress.Sequential)
 	pq := sim.NewQueue(c.eng, "ingress", cores)
 	proxy.AddBackend(pq, ingress.ProxyRequestCost(c.arch.rt), 1, nil)
 	fleet := g.AddService("fleet", ingress.Sequential)
 	g.Connect(proxy, fleet, route, 0)
-	// Clients reach the proxy under the same connection regime the
-	// proxy uses toward the fleet; the entry route itself never
-	// retries — that is the fleet route's job.
-	g.SetEntry(proxy, ingress.RoutePolicy{
-		ConnSetup: route.ConnSetup, KeepAlive: route.KeepAlive, KeepAliveReqs: route.KeepAliveReqs,
-	})
+	g.SetEntry(proxy, entry)
 	g.OnRootDone = c.rootDone
 	if c.ob != nil {
 		g.Observe(&c.ob.stream, c.ob.rec)
@@ -651,7 +662,7 @@ func (c *Cluster) routableCount() int {
 
 // dispatch routes one request onto the fleet. On the single engine
 // without ingress this is deterministic join-shortest-queue with a
-// rotating-cursor tie-break (mirroring internal/ingress): the scan
+// rotating-cursor tie-break (as in internal/ingress): the scan
 // starts where the last dispatch left off, so equal-depth replicas take
 // turns instead of funneling into the lowest id — at fleet scale the
 // old lowest-id tie-break aimed every burst's head at replica 1. With
@@ -747,21 +758,28 @@ func (c *Cluster) onDone(ct *container, j sim.Job) {
 // routable replica, retry budget drained) is a drop — the client saw
 // an error. Closed-loop connections re-issue either way.
 func (c *Cluster) rootDone(client uint64, lat cycles.Cycles, ok bool) {
+	c.settleRequest(c.eng.Now(), lat, ok)
+	if c.closedLoop && c.eng.Now() < c.horizon {
+		c.graph.Admit(client)
+	}
+}
+
+// settleRequest records one ingress request's outcome at `at`, on
+// either engine: a served request's latency, or a drop.
+func (c *Cluster) settleRequest(at, lat cycles.Cycles, ok bool) {
 	if ok {
 		c.fleet.Observe(lat)
 		c.win.Observe(lat)
 		c.completed++
-		if c.ob != nil {
-			c.ob.stream.Emit(c.eng.Now(), c.ob.kServed, uint64(lat), uint64(c.per))
-		}
 	} else {
 		c.dropped++
-		if c.ob != nil {
-			c.ob.stream.Emit(c.eng.Now(), c.ob.kErred, uint64(lat), 0)
-		}
 	}
-	if c.closedLoop && c.eng.Now() < c.horizon {
-		c.graph.Admit(client)
+	if o := c.ob; o != nil {
+		if ok {
+			o.cen.Emit(at, o.kServed, uint64(lat), uint64(c.per))
+		} else {
+			o.cen.Emit(at, o.kErred, uint64(lat), 0)
+		}
 	}
 }
 

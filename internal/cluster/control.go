@@ -325,7 +325,7 @@ func (c *Cluster) dropBacklog(ct *container) {
 	}
 	if c.sh != nil && c.sh.fi != nil {
 		for _, j := range jobs {
-			c.sh.fi.attemptLost(j)
+			c.sh.fi.m.Lost(j.ID, c.sh.now) // at a barrier
 		}
 		return
 	}

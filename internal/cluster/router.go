@@ -158,8 +158,8 @@ func (t *fleetTable) pickRR() int {
 }
 
 // pickP2C samples two routable replicas from the routing stream and
-// joins the shallower; ties keep the first sample, mirroring the
-// single-engine balancer.
+// joins the shallower; ties keep the first sample, as the
+// single-engine balancer does.
 func (t *fleetTable) pickP2C() int {
 	up := len(t.ups)
 	if up == 0 {

@@ -62,8 +62,8 @@ type shardState struct {
 
 	fleetCompleted uint64 // ingress: attempts completed at this shard's replicas
 
-	done  []doneRec  // plain closed-loop completions this epoch
-	fdone []fdoneRec // ingress attempt completions this epoch
+	done  []doneRec // plain closed-loop completions this epoch
+	fdone []fiEvent // ingress attempt completions this epoch
 
 	// ob is the shard's trace outbox (nil = observability off): records
 	// emitted on this shard's goroutine between barriers, drained and
@@ -84,7 +84,7 @@ type arrivalSink struct{ c *Cluster }
 
 func (a *arrivalSink) HandleEvent(_ *sim.Engine, j sim.Job) {
 	if j.Stage < 0 {
-		a.c.sh.fi.clientArrive(j)
+		a.c.sh.fi.clientArrive(j.ID, j.Born)
 		return
 	}
 	a.c.containers[j.Stage].q.Arrive(j)
@@ -223,7 +223,8 @@ func (s *shardRun) attemptDone(ct *container, j sim.Job) {
 	// the draw sequence is shard-layout invariant. The barrier decides
 	// whether anyone was still waiting for the answer.
 	erred := ct.errRate > 0 && ct.errRng.Float64() < ct.errRate
-	ss.fdone = append(ss.fdone, fdoneRec{at: ss.eng.Now(), born: j.Born, id: j.ID, cost: j.Cost, erred: erred})
+	ss.fdone = append(ss.fdone, fiEvent{at: ss.eng.Now(), kind: fiEvFleetDone, erred: erred,
+		order: ingress.CallOrder(j.ID), id: j.ID, cost: j.Cost, born: j.Born})
 }
 
 // admitNow routes one request at the current barrier instant — the
@@ -236,7 +237,7 @@ func (s *shardRun) admitNow(id uint64) {
 		if c.ob != nil {
 			c.ob.countArrive(s.now)
 		}
-		s.fi.admit(id, s.now)
+		s.fi.clientArrive(id, s.now)
 		return
 	}
 	rep := s.table.pick()
@@ -273,6 +274,9 @@ func (s *shardRun) start(t Traffic, open bool, conc int) {
 	s.controlDue = min(c.interval, c.horizon)
 	s.collectDone = !open && s.fi == nil
 	s.table.rng = sim.NewRand(t.Seed ^ 0x16c4e5500) // routing stream, as on the single engine
+	if s.fi != nil {
+		s.fi.m.SetRand(s.table.rng) // breaker probes draw from it too
+	}
 	s.table.rebuild()
 	if open {
 		switch {

@@ -56,9 +56,9 @@ type Breaker struct {
 	fastFails uint64 // calls rejected without touching a replica
 }
 
-// NewBreaker builds a breaker from the policy's knobs, or returns nil
+// newBreaker builds a breaker from the policy's knobs, or returns nil
 // when the policy leaves the breaker off. pol must be normalized.
-func NewBreaker(pol RoutePolicy) *Breaker {
+func newBreaker(pol RoutePolicy) *Breaker {
 	if pol.BreakerFailureRate <= 0 {
 		return nil
 	}

@@ -8,7 +8,7 @@ import (
 )
 
 func testBreaker(probeP float64) *Breaker {
-	return NewBreaker(RoutePolicy{
+	return newBreaker(RoutePolicy{
 		BreakerFailureRate: 0.5,
 		Timeout:            cycles.FromMicros(100),
 	}.normalized().withProbeP(probeP))
@@ -109,7 +109,7 @@ func TestBreakerHalfOpenReOpens(t *testing.T) {
 // TestBreakerHalfOpenShedsNonProbes verifies seeded probe admission:
 // at probeP=0 every half-open call fails fast.
 func TestBreakerHalfOpenShedsNonProbes(t *testing.T) {
-	b := NewBreaker(RoutePolicy{
+	b := newBreaker(RoutePolicy{
 		BreakerFailureRate: 0.5, BreakerWindow: 4,
 		BreakerCooldown: 100, BreakerProbeP: 1e-12, BreakerProbeQuota: 3,
 	})
@@ -128,7 +128,7 @@ func TestBreakerHalfOpenShedsNonProbes(t *testing.T) {
 }
 
 func TestBreakerOffIsNil(t *testing.T) {
-	if NewBreaker(RoutePolicy{}) != nil {
+	if newBreaker(RoutePolicy{}) != nil {
 		t.Fatal("zero policy built a breaker")
 	}
 }
@@ -163,7 +163,7 @@ func TestBreakerTripsAndFastFailsCalls(t *testing.T) {
 	if r.g.Served() != 0 {
 		t.Fatalf("served %d from an always-error replica", r.g.Served())
 	}
-	st := statsOf(r.g.Entry())
+	st := r.g.Entry().Stats()
 	if st.BreakerOpens != 1 {
 		t.Fatalf("breaker opens = %d", st.BreakerOpens)
 	}
@@ -189,7 +189,7 @@ func TestShedDepthBoundsBacklog(t *testing.T) {
 		r.eng.At(cycles.Cycles(i), func() { r.g.Admit(id) })
 	}
 	r.eng.RunUntilIdle()
-	st := statsOf(r.g.Entry())
+	st := r.g.Entry().Stats()
 	if st.Shed == 0 {
 		t.Fatal("no calls shed over a deep backlog")
 	}
@@ -217,7 +217,7 @@ func TestPartitionedReplicaRecoversViaTimeout(t *testing.T) {
 	if r.g.Served() != 40 {
 		t.Fatalf("served %d of 40 despite retries around the partition", r.g.Served())
 	}
-	st := statsOf(r.g.Entry())
+	st := r.g.Entry().Stats()
 	if st.Timeouts == 0 || st.Retries != st.Timeouts {
 		t.Fatalf("timeouts %d retries %d, want every lost attempt reaped and retried", st.Timeouts, st.Retries)
 	}
@@ -230,7 +230,7 @@ func TestGrayErrorRetriesThenServes(t *testing.T) {
 		r := newRig(t, 9, 2, 10_000, RoutePolicy{LB: RoundRobin, Retries: 3})
 		r.svc.SetErrorRate(0, 0.5, 77)
 		r.drive(200, 1_000_000)
-		return r.g.Served(), statsOf(r.g.Entry()).Errors
+		return r.g.Served(), r.g.Entry().Stats().Errors
 	}
 	s1, e1 := run()
 	s2, e2 := run()

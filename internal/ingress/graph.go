@@ -6,74 +6,19 @@ import (
 	"xcontainers/internal/sim"
 )
 
-// Event and queue-job IDs pack everything a completion or timer needs
-// to find its call again — and to detect that the call has moved on:
-//
-//	bits  0..23  call slot in the arena
-//	bits 24..47  call generation at issue time
-//	bits 48..55  attempt index within the call
-//	bits 56..59  event kind
-//
-// A completion or timer whose generation no longer matches the slot's
-// is stale — the call it belonged to finished and the slot was reused —
-// and is accounted as wasted work instead of being dispatched.
-const (
-	idSlotBits = 24
-	idGenBits  = 24
-	idSlotMask = 1<<idSlotBits - 1
-	idGenMask  = 1<<idGenBits - 1
-
-	kindAttempt = 0 // queue job: one attempt in service at a replica
-	kindTimeout = 1 // per-attempt deadline
-	kindHedge   = 2 // hedge trigger
-	kindRetry   = 3 // backoff expiry: issue the next attempt
-	kindFail    = 4 // deferred no-backend failure
-)
-
-func encodeID(kind uint64, slot int32, gen uint32, attempt uint8) uint64 {
-	return kind<<56 | uint64(attempt)<<48 | uint64(gen&idGenMask)<<idSlotBits | uint64(uint32(slot)&idSlotMask)
-}
-
-func decodeID(id uint64) (kind uint64, slot int32, gen uint32, attempt uint8) {
-	return id >> 56, int32(id & idSlotMask), uint32(id>>idSlotBits) & idGenMask, uint8(id >> 48)
-}
-
-// Call lifecycle: racing (attempts, timeouts, retries, hedges compete
-// to produce the first response) → subtree (downstream edges run once,
-// driven by the winning response) → freed. Timers and completions
-// carry the state they expect; anything arriving late is ignored or
-// counted as waste.
-const (
-	stateFree uint8 = iota
-	stateRacing
-	stateSubtree
-)
-
-const noHedge = 0xff
-
-// call is one in-flight invocation of an edge. Calls live in a slot
-// arena with a free list; the struct is pointer-free so steady-state
-// traffic costs the garbage collector nothing.
-type call struct {
-	gen       uint32
-	edge      int32
-	parent    int32  // frame slot awaiting this call, -1 at the root
+// link is a graph call's tag in the call machine: the frame awaiting
+// the call (-1 at the root) and, for root calls, the traffic source's
+// request id.
+type link struct {
+	parent    int32
 	parentGen uint32 // the frame's generation at issue
-	client    uint64 // root calls: the traffic source's request id
-	born      cycles.Cycles
-	state     uint8
-	attempt   uint8  // attempts issued so far
-	retries   uint8  // retries consumed (hedges are not retries)
-	hedgeIdx  uint8  // attempt index of the hedge, noHedge if none
-	liveMask  uint16 // bit per attempt still eligible to win
-	pendRetry bool   // a backoff timer is pending; no attempt is live
-	brSkip    bool   // fast-failed before issue; not a breaker outcome
-	lastBE    int16  // replica of the newest attempt (hedge avoids it)
+	client    uint64
 }
 
 // frame is one activation of a service's outgoing edges on behalf of a
 // winning call: the cursor of a sequential chain or the join counter
-// of a fan-out. Same arena discipline as calls.
+// of a fan-out. Frames live in a slot arena with a free list, and
+// generations distinguish reuses, like calls.
 type frame struct {
 	gen     uint32
 	callRef int32 // owning call slot
@@ -84,19 +29,19 @@ type frame struct {
 }
 
 // Graph is a service graph on one engine: services, edges, the client
-// entry route, and the arenas every in-flight request tree lives in.
-// It implements sim.Handler for its own timer events.
+// entry route, the call machine every request tree's calls race in,
+// and the frames that join them. It implements sim.Handler for the
+// machine's timer events.
 type Graph struct {
 	eng *sim.Engine
 	rng *sim.Rand
 	ref sim.HandlerRef
+	m   Machine[link, graphDriver]
 
 	services []*Service
 	edges    []*Edge
 	entry    *Edge
 
-	calls     []call
-	callFree  []int32
 	frames    []frame
 	frameFree []int32
 
@@ -105,21 +50,17 @@ type Graph struct {
 	// succeeded. Closed-loop drivers re-admit from here.
 	OnRootDone func(client uint64, lat cycles.Cycles, ok bool)
 
-	// obsSink, when set via Observe, receives trace records: request and
-	// attempt spans on per-edge tracks, robustness instants (timeout,
-	// retry, hedge, budget denial), and retry-budget counters. Every
-	// emission guards on the nil, so an unobserved graph pays one branch.
-	obsSink obs.Sink
-
 	admitted uint64
 	served   uint64
 	failed   uint64
 }
 
 // NewGraph creates an empty graph on eng with its own seeded random
-// stream (load-balancer sampling and cache coins).
+// stream (load-balancer sampling, breaker probes, and cache coins).
 func NewGraph(eng *sim.Engine, seed uint64) *Graph {
-	g := &Graph{eng: eng, rng: sim.NewRand(seed)}
+	g := &Graph{eng: eng}
+	g.m = NewMachine[link](graphDriver{g})
+	g.Reseed(seed)
 	g.ref = eng.Register(g)
 	return g
 }
@@ -134,9 +75,8 @@ func (g *Graph) AddService(name string, mode CallMode) *Service {
 // Connect routes calls from one service into another under pol. hit is
 // the edge's cache behaviour (see Edge.hit); 0 for a hard dependency.
 func (g *Graph) Connect(from, to *Service, pol RoutePolicy, hit float64) *Edge {
-	e := &Edge{g: g, idx: int32(len(g.edges)), from: from, to: to, pol: pol.normalized(), hit: hit}
-	e.br = NewBreaker(e.pol)
-	g.edges = append(g.edges, e)
+	e := g.addEdge(from.name, to, pol)
+	e.from, e.hit = from, hit
 	from.edges = append(from.edges, e)
 	return e
 }
@@ -144,10 +84,13 @@ func (g *Graph) Connect(from, to *Service, pol RoutePolicy, hit float64) *Edge {
 // SetEntry installs the client→root route every admitted request
 // enters through, replacing any previous entry.
 func (g *Graph) SetEntry(root *Service, pol RoutePolicy) *Edge {
-	e := &Edge{g: g, idx: int32(len(g.edges)), from: nil, to: root, pol: pol.normalized()}
-	e.br = NewBreaker(e.pol)
+	g.entry = g.addEdge("client", root, pol)
+	return g.entry
+}
+
+func (g *Graph) addEdge(from string, to *Service, pol RoutePolicy) *Edge {
+	e := &Edge{Route: g.m.AddRoute(from+"->"+to.name, pol, &to.pool), g: g, to: to}
 	g.edges = append(g.edges, e)
-	g.entry = e
 	return e
 }
 
@@ -157,21 +100,18 @@ func (g *Graph) Entry() *Edge { return g.entry }
 // Reseed replaces the graph's random stream. Orchestrators build the
 // topology at construction time but only learn the run's seed at
 // traffic time; Reseed before the first Admit keeps runs reproducible.
-func (g *Graph) Reseed(seed uint64) { g.rng = sim.NewRand(seed) }
+func (g *Graph) Reseed(seed uint64) {
+	g.rng = sim.NewRand(seed)
+	g.m.SetRand(g.rng)
+}
 
 // Observe points the graph's trace instrumentation at sink and, when
 // rec is non-nil, labels each edge's track with its route name. Call
 // after the topology is complete and before traffic; a nil sink turns
-// instrumentation back off. Span pairing rides the attempt's job id
-// (slot|gen|attempt), so begin/end records match without any lookup.
-func (g *Graph) Observe(sink obs.Sink, rec *obs.Recorder) {
-	g.obsSink = sink
-	if rec != nil {
-		for _, e := range g.edges {
-			rec.Label(obs.LayerIngress, uint32(e.idx), e.Name())
-		}
-	}
-}
+// instrumentation back off. Records: request and attempt spans on
+// per-edge tracks, robustness instants (timeout, retry, hedge, budget
+// denial), and retry-budget counters.
+func (g *Graph) Observe(sink obs.Sink, rec *obs.Recorder) { g.m.Observe(sink, rec) }
 
 // Admitted, Served, and Failed count root requests: admitted into the
 // graph, completed successfully (goodput), and completed failed.
@@ -182,103 +122,68 @@ func (g *Graph) Failed() uint64   { return g.failed }
 // Admit injects one client request at the current virtual instant.
 func (g *Graph) Admit(client uint64) {
 	g.admitted++
-	if g.obsSink != nil {
-		g.obsSink.Emit(g.eng.Now(),
-			obs.Key(obs.KindSpanBegin, obs.LayerIngress, obs.NameRequest, uint32(g.entry.idx)), client, 0)
-	}
-	g.startCall(g.entry, -1, 0, client)
-}
-
-// startCall allocates a call on e and issues its first attempt.
-func (g *Graph) startCall(e *Edge, parent int32, parentGen uint32, client uint64) {
-	e.calls++
-	if e.pol.RetryBudget > 0 {
-		e.budget = min(e.budget+e.pol.RetryBudget, retryBudgetCap)
-		if g.obsSink != nil {
-			g.obsSink.Emit(g.eng.Now(),
-				obs.Key(obs.KindCounter, obs.LayerIngress, obs.NameBudget, uint32(e.idx)), uint64(e.budget*1000), 0)
-		}
-	}
-	slot := g.allocCall()
-	c := &g.calls[slot]
-	c.edge = e.idx
-	c.parent = parent
-	c.parentGen = parentGen
-	c.client = client
-	c.born = g.eng.Now()
-	c.state = stateRacing
-	c.attempt = 0
-	c.retries = 0
-	c.hedgeIdx = noHedge
-	c.liveMask = 0
-	c.pendRetry = false
-	c.brSkip = false
-	c.lastBE = -1
-	if e.br != nil && !e.br.Admit(c.born, g.rng) {
-		// Breaker fast failure: fail through the event loop like
-		// no-backend does, without feeding the outcome back (the call
-		// never touched a replica).
-		c.brSkip = true
-		g.eng.Schedule(0, g.ref, sim.Job{ID: encodeID(kindFail, slot, c.gen, 0)})
-		return
-	}
-	if e.pol.ShedDepth > 0 && e.overloaded() {
-		e.shed++
-		c.brSkip = true
-		g.eng.Schedule(0, g.ref, sim.Job{ID: encodeID(kindFail, slot, c.gen, 0)})
-		return
-	}
-	g.issueAttempt(slot)
-}
-
-// issueAttempt sends the call's next attempt to a replica chosen by
-// the edge's policy. Only the no-live-attempt paths (first attempt,
-// retry) may call it: with nothing routable the call must fail, and
-// that failure is deferred through the event loop because failing
-// synchronously would re-enter the parent frame mid-issue.
-func (g *Graph) issueAttempt(slot int32) {
-	c := &g.calls[slot]
-	e := g.edges[c.edge]
-	bi := e.pick()
-	if bi < 0 {
-		e.noBackend++
-		c.brSkip = true
-		g.eng.Schedule(0, g.ref, sim.Job{ID: encodeID(kindFail, slot, c.gen, 0)})
-		return
-	}
-	g.issueTo(slot, bi)
-}
-
-// issueTo commits one attempt to replica bi and arms its timeout and,
-// on the first attempt, the hedge.
-func (g *Graph) issueTo(slot int32, bi int) {
-	c := &g.calls[slot]
-	e := g.edges[c.edge]
-	b := e.to.backends[bi]
-	k := c.attempt
-	c.attempt++
-	c.liveMask |= 1 << k
-	c.lastBE = int16(bi)
 	now := g.eng.Now()
-	if g.obsSink != nil {
-		g.obsSink.Emit(now,
-			obs.Key(obs.KindSpanBegin, obs.LayerIngress, obs.NameAttempt, uint32(e.idx)),
-			encodeID(kindAttempt, slot, c.gen, k), 0)
-	}
-	if !b.unreachable {
-		b.q.Arrive(sim.Job{ID: encodeID(kindAttempt, slot, c.gen, k), Cost: e.attemptCost(b), Born: now})
-	}
-	// A partitioned replica's attempt is lost in the network: nothing
-	// is enqueued, and the timeout below is the only way it ends.
-	if e.pol.Timeout > 0 {
-		g.eng.Schedule(e.pol.Timeout, g.ref, sim.Job{ID: encodeID(kindTimeout, slot, c.gen, k)})
-	}
-	if k == 0 {
-		if d := e.hedgeDelay(); d > 0 {
-			g.eng.Schedule(d, g.ref, sim.Job{ID: encodeID(kindHedge, slot, c.gen, 0)})
-		}
+	emit(g.m.sink, now, obs.KindSpanBegin, obs.NameRequest, g.entry.idx, client, 0)
+	g.m.Start(g.entry.Route, link{parent: -1, client: client}, now)
+}
+
+// graphDriver is the graph's side of the call machine's seam: timers
+// and deferred failures are events on the graph's engine, attempts
+// enqueue at the edge target's replica queues.
+type graphDriver struct{ g *Graph }
+
+func (d graphDriver) Pick(r int32) int                   { return d.g.edges[r].pick() }
+func (d graphDriver) PickOther(r int32, avoid int) int   { return d.g.edges[r].pickOther(avoid) }
+func (d graphDriver) Overloaded(r int32, depth int) bool { return d.g.edges[r].overloaded(depth) }
+
+func (d graphDriver) Send(r int32, bi int, id uint64, at cycles.Cycles) {
+	e := d.g.edges[r]
+	if b := e.to.backends[bi]; !b.unreachable {
+		b.q.Arrive(sim.Job{ID: id, Cost: b.cost + e.Handshake(&b.kaLeft), Born: at})
 	}
 }
+
+func (d graphDriver) Arm(_ Timer, id uint64, _, delay cycles.Cycles) {
+	d.g.eng.Schedule(delay, d.g.ref, sim.Job{ID: id})
+}
+
+// Fail defers through the event loop: failing synchronously would
+// re-enter the parent frame mid-issue.
+func (d graphDriver) Fail(id uint64, _ cycles.Cycles) {
+	d.g.eng.Schedule(0, d.g.ref, sim.Job{ID: id})
+}
+
+// Done propagates a finished call to its parent frame or, at the root,
+// to the traffic source.
+func (d graphDriver) Done(r int32, t link, born, at cycles.Cycles, ok bool) {
+	g := d.g
+	if t.parent >= 0 {
+		g.frameChildDone(t.parent, t.parentGen, g.edges[r], ok)
+		return
+	}
+	var fail uint64
+	if ok {
+		g.served++
+	} else {
+		g.failed++
+		fail = 1
+	}
+	emit(g.m.sink, at, obs.KindSpanEnd, obs.NameRequest, r, t.client, fail)
+	if g.OnRootDone != nil {
+		g.OnRootDone(t.client, at-born, ok)
+	}
+}
+
+// HandleEvent fires the call machine's timers and deferred failures.
+func (g *Graph) HandleEvent(_ *sim.Engine, j sim.Job) {
+	now := g.eng.Now()
+	g.m.Fire(j.ID, now, now)
+}
+
+// AttemptLost reports that a queued attempt was dropped before service
+// (a crashed node's backlog): the attempt dies immediately, as if its
+// timeout had fired, and the call retries or fails under its policy.
+func (g *Graph) AttemptLost(j sim.Job) { g.m.Lost(j.ID, g.eng.Now()) }
 
 // attemptDone is every backend queue's completion hook: j finished at
 // replica bi of s. If the call is still racing and this attempt is
@@ -287,88 +192,31 @@ func (g *Graph) issueTo(slot int32, bi int) {
 func (g *Graph) attemptDone(s *Service, bi int, j sim.Job) {
 	s.completions++
 	now := g.eng.Now()
-	kind, slot, gen, k := decodeID(j.ID)
-	if kind != kindAttempt || int(slot) >= len(g.calls) {
-		// A job this graph never issued (work injected directly into a
-		// shared queue) — capacity it consumed, but nobody waits for it.
-		s.wasted++
-		s.wastedCycles += j.Cost
-		s.wastedLat.Observe(now - j.Born)
-		if g.obsSink != nil {
-			g.obsSink.Emit(now,
-				obs.Key(obs.KindCounter, obs.LayerIngress, obs.NameWasted, 0), uint64(now-j.Born), 0)
-		}
+	slot, live := g.m.Resolve(j, now, &s.pool)
+	if !live {
 		return
 	}
-	c := &g.calls[slot]
-	if c.gen != gen || c.state != stateRacing || c.liveMask&(1<<k) == 0 {
-		s.wasted++
-		s.wastedCycles += j.Cost
-		s.wastedLat.Observe(now - j.Born)
-		if g.obsSink != nil {
-			// The loser's span ends flagged wasted (B = 1). Its call slot
-			// may already serve another request, so the edge is
-			// unattributable — waste lands on track 0, service-level.
-			g.obsSink.Emit(now,
-				obs.Key(obs.KindSpanEnd, obs.LayerIngress, obs.NameAttempt, 0), j.ID, 1)
-			g.obsSink.Emit(now,
-				obs.Key(obs.KindCounter, obs.LayerIngress, obs.NameWasted, 0), uint64(now-j.Born), 0)
-		}
-		return
-	}
-	e := g.edges[c.edge]
-	if c.parent >= 0 {
-		if f := &g.frames[c.parent]; f.gen != c.parentGen || f.failed {
+	if t := &g.m.calls[slot].tag; t.parent >= 0 {
+		if f := &g.frames[t.parent]; f.gen != t.parentGen || f.failed {
 			// The caller's frame already failed (a sibling hard
 			// dependency died) or moved on: this completion bought
-			// nothing. The cycles are wasted capacity, and the call
-			// fails without opening a downstream subtree — a doomed
-			// fan-out must not fan further work out.
-			s.wasted++
-			s.wastedCycles += j.Cost
-			s.wastedLat.Observe(now - j.Born)
-			if g.obsSink != nil {
-				g.obsSink.Emit(now,
-					obs.Key(obs.KindSpanEnd, obs.LayerIngress, obs.NameAttempt, uint32(e.idx)), j.ID, 1)
-				g.obsSink.Emit(now,
-					obs.Key(obs.KindCounter, obs.LayerIngress, obs.NameWasted, 0), uint64(now-j.Born), 0)
-			}
-			c.liveMask = 0
-			g.completeCall(slot, false)
+			// nothing, and a doomed fan-out must not fan further work
+			// out.
+			g.m.abandon(slot, j, now)
 			return
 		}
 	}
-	if b := s.backends[bi]; b.errRate > 0 && b.errRng.Float64() < b.errRate {
-		// Gray failure: the replica burned the cycles but answered
-		// with an error. The attempt dies like a timeout would, and
-		// the call retries or fails under its policy.
-		e.errors++
-		if g.obsSink != nil {
-			// The span ends flagged errored (B = 3).
-			g.obsSink.Emit(now,
-				obs.Key(obs.KindSpanEnd, obs.LayerIngress, obs.NameAttempt, uint32(e.idx)), j.ID, 3)
-		}
-		c.liveMask &^= 1 << k
-		if c.liveMask == 0 && !c.pendRetry {
-			g.maybeRetry(slot)
-		}
+	// The gray-failure coin is drawn only for a live attempt whose
+	// caller still waits, from the replica's private stream.
+	b := s.backends[bi]
+	if !g.m.Answer(slot, j, now, b.errRate > 0 && b.errRng.Float64() < b.errRate) {
 		return
 	}
-	s.attemptLat.Observe(now - j.Born)
-	if g.obsSink != nil {
-		g.obsSink.Emit(now,
-			obs.Key(obs.KindSpanEnd, obs.LayerIngress, obs.NameAttempt, uint32(e.idx)), j.ID, 0)
-	}
-	if k == c.hedgeIdx {
-		e.hedgeWins++
-	}
-	c.liveMask = 0
-	c.state = stateSubtree
-	if len(e.to.edges) == 0 {
-		g.completeCall(slot, true)
+	if len(s.edges) == 0 {
+		g.m.Finish(slot, now, true)
 		return
 	}
-	g.openFrame(slot, e.to)
+	g.openFrame(slot, s)
 }
 
 // openFrame starts the winning call's downstream edges.
@@ -381,9 +229,10 @@ func (g *Graph) openFrame(callSlot int32, svc *Service) {
 	f.next = 0
 	f.pending = 0
 	f.failed = false
+	now := g.eng.Now()
 	switch svc.mode {
 	case Sequential:
-		g.startCall(svc.edges[0], fslot, fgen, 0)
+		g.m.Start(svc.edges[0].Route, link{parent: fslot, parentGen: fgen}, now)
 	case FanOut:
 		// Draw every skip coin before issuing so a child cannot join
 		// (asynchronously) against a half-counted pending.
@@ -401,7 +250,7 @@ func (g *Graph) openFrame(callSlot int32, svc *Service) {
 		}
 		for i, e := range svc.edges {
 			if issue&(1<<uint(i)) != 0 {
-				g.startCall(e, fslot, fgen, 0)
+				g.m.Start(e.Route, link{parent: fslot, parentGen: fgen}, now)
 			}
 		}
 	}
@@ -428,7 +277,7 @@ func (g *Graph) frameChildDone(fslot int32, fgen uint32, childEdge *Edge, ok boo
 		}
 		f.next++
 		if int(f.next) < len(svc.edges) {
-			g.startCall(svc.edges[f.next], fslot, fgen, 0)
+			g.m.Start(svc.edges[f.next].Route, link{parent: fslot, parentGen: fgen}, g.eng.Now())
 			return
 		}
 		g.finishFrame(fslot)
@@ -448,186 +297,7 @@ func (g *Graph) finishFrame(fslot int32) {
 	f := &g.frames[fslot]
 	callSlot, ok := f.callRef, !f.failed
 	g.freeFrame(fslot)
-	g.completeCall(callSlot, ok)
-}
-
-// completeCall finishes a call — success or failure — observes its
-// latency, frees the slot, and propagates to the parent frame or, at
-// the root, to the traffic source.
-func (g *Graph) completeCall(slot int32, ok bool) {
-	c := &g.calls[slot]
-	e := g.edges[c.edge]
-	lat := g.eng.Now() - c.born
-	parent, parentGen, client := c.parent, c.parentGen, c.client
-	if e.br != nil && !c.brSkip {
-		e.br.Report(g.eng.Now(), ok)
-	}
-	if ok {
-		e.completed++
-		e.lat.Observe(lat)
-	} else {
-		e.failed++
-	}
-	g.freeCall(slot)
-	if parent < 0 {
-		if ok {
-			g.served++
-		} else {
-			g.failed++
-		}
-		if g.obsSink != nil {
-			var fail uint64
-			if !ok {
-				fail = 1
-			}
-			g.obsSink.Emit(g.eng.Now(),
-				obs.Key(obs.KindSpanEnd, obs.LayerIngress, obs.NameRequest, uint32(e.idx)), client, fail)
-		}
-		if g.OnRootDone != nil {
-			g.OnRootDone(client, lat, ok)
-		}
-		return
-	}
-	g.frameChildDone(parent, parentGen, e, ok)
-}
-
-// HandleEvent dispatches the graph's timer events. Every branch
-// re-validates generation and state: by the time a timer fires, its
-// call may have completed, failed, or been reused.
-func (g *Graph) HandleEvent(_ *sim.Engine, j sim.Job) {
-	kind, slot, gen, k := decodeID(j.ID)
-	c := &g.calls[slot]
-	if c.gen != gen || c.state != stateRacing {
-		return
-	}
-	switch kind {
-	case kindTimeout:
-		if c.liveMask&(1<<k) == 0 {
-			return
-		}
-		c.liveMask &^= 1 << k
-		g.edges[c.edge].timeouts++
-		if g.obsSink != nil {
-			g.obsSink.Emit(g.eng.Now(),
-				obs.Key(obs.KindInstant, obs.LayerIngress, obs.NameTimeout, uint32(c.edge)),
-				encodeID(kindAttempt, slot, gen, k), 0)
-		}
-		if c.liveMask != 0 {
-			return // a hedge twin is still racing
-		}
-		g.maybeRetry(slot)
-	case kindRetry:
-		if !c.pendRetry {
-			return
-		}
-		c.pendRetry = false
-		g.issueAttempt(slot)
-	case kindHedge:
-		if c.hedgeIdx != noHedge || c.liveMask == 0 {
-			return // already hedged, or primary gone (retry pending)
-		}
-		e := g.edges[c.edge]
-		bi := e.pickOther(int(c.lastBE))
-		if bi < 0 {
-			return // nothing to hedge to; the primary races on alone
-		}
-		c.hedgeIdx = c.attempt
-		e.hedges++
-		if g.obsSink != nil {
-			g.obsSink.Emit(g.eng.Now(),
-				obs.Key(obs.KindInstant, obs.LayerIngress, obs.NameHedge, uint32(e.idx)),
-				encodeID(kindAttempt, slot, gen, c.attempt), 0)
-		}
-		g.issueTo(slot, bi)
-	case kindFail:
-		g.completeCall(slot, false)
-	}
-}
-
-// maybeRetry decides a call's fate after its last live attempt died:
-// retry under the ladder and budget, or fail.
-func (g *Graph) maybeRetry(slot int32) {
-	c := &g.calls[slot]
-	e := g.edges[c.edge]
-	if int(c.retries) >= e.pol.Retries {
-		g.completeCall(slot, false)
-		return
-	}
-	if e.pol.RetryBudget > 0 {
-		if e.budget < 1 {
-			e.budgetDenied++
-			if g.obsSink != nil {
-				g.obsSink.Emit(g.eng.Now(),
-					obs.Key(obs.KindInstant, obs.LayerIngress, obs.NameBudgetDenied, uint32(e.idx)),
-					uint64(uint32(slot)), 0)
-			}
-			g.completeCall(slot, false)
-			return
-		}
-		e.budget--
-	}
-	c.retries++
-	e.retries++
-	if g.obsSink != nil {
-		now := g.eng.Now()
-		g.obsSink.Emit(now,
-			obs.Key(obs.KindInstant, obs.LayerIngress, obs.NameRetry, uint32(e.idx)),
-			encodeID(kindAttempt, slot, c.gen, c.retries), 0)
-		if e.pol.RetryBudget > 0 {
-			g.obsSink.Emit(now,
-				obs.Key(obs.KindCounter, obs.LayerIngress, obs.NameBudget, uint32(e.idx)),
-				uint64(e.budget*1000), 0)
-		}
-	}
-	backoff := e.pol.Backoff << (c.retries - 1)
-	if backoff > e.pol.BackoffCap {
-		backoff = e.pol.BackoffCap
-	}
-	c.pendRetry = true
-	g.eng.Schedule(backoff, g.ref, sim.Job{ID: encodeID(kindRetry, slot, c.gen, 0)})
-}
-
-// AttemptLost reports that a queued attempt was dropped before service
-// (a crashed node's backlog): the attempt dies immediately, as if its
-// timeout had fired, and the call retries or fails under its policy.
-func (g *Graph) AttemptLost(j sim.Job) {
-	kind, slot, gen, k := decodeID(j.ID)
-	if kind != kindAttempt || int(slot) >= len(g.calls) {
-		return
-	}
-	c := &g.calls[slot]
-	if c.gen != gen || c.state != stateRacing || c.liveMask&(1<<k) == 0 {
-		return
-	}
-	c.liveMask &^= 1 << k
-	g.edges[c.edge].lost++
-	if g.obsSink != nil {
-		// The attempt's span ends flagged lost (B = 2): its backlog died
-		// with a node, no completion record will ever close it.
-		g.obsSink.Emit(g.eng.Now(),
-			obs.Key(obs.KindSpanEnd, obs.LayerIngress, obs.NameAttempt, uint32(c.edge)), j.ID, 2)
-	}
-	if c.liveMask == 0 && !c.pendRetry {
-		g.maybeRetry(slot)
-	}
-}
-
-// allocCall claims a call slot; generations distinguish reuses.
-func (g *Graph) allocCall() int32 {
-	if n := len(g.callFree); n > 0 {
-		slot := g.callFree[n-1]
-		g.callFree = g.callFree[:n-1]
-		return slot
-	}
-	g.calls = append(g.calls, call{})
-	return int32(len(g.calls) - 1)
-}
-
-func (g *Graph) freeCall(slot int32) {
-	c := &g.calls[slot]
-	c.state = stateFree
-	c.gen = (c.gen + 1) & idGenMask
-	g.callFree = append(g.callFree, slot)
+	g.m.Finish(callSlot, g.eng.Now(), ok)
 }
 
 func (g *Graph) allocFrame() int32 {

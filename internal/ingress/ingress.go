@@ -17,17 +17,33 @@
 // all emerge from queueing, per runtime kind, and are therefore
 // byte-deterministic per seed and golden-testable.
 //
-// The unit of composition is the Graph: services are replica-backed
-// queues, edges are RPC routes with their own policy, and a request is
-// a tree of calls — sequential chains, fan-out joins, and tiered-cache
-// short-circuits — driven entirely by typed kernel events. The hot
-// path allocates nothing in steady state: calls and frames live in
-// slot arenas with free lists, timers are typed events, and every
-// per-request decision works on preallocated state.
+// One call/attempt state machine (Machine, in core.go) owns the
+// connection charges and the robustness mechanics: admission through
+// the breaker and the shed valve, attempt issue, timeout and hedge
+// arming, the retry ladder with capped backoff and a token budget, and
+// the wasted-work, gray-error, and trace accounting. It runs behind a
+// small transport seam (Driver), and two drivers use it:
+//   - Graph, the unit of composition on one engine: services are
+//     replica-backed queues, edges are RPC routes with their own
+//     policy, and a request is a tree of calls — sequential chains,
+//     fan-out joins, and tiered-cache short-circuits — driven entirely
+//     by typed kernel events;
+//   - the sharded cluster's fleet ingress (internal/cluster), which
+//     drives the same machine at epoch barriers.
+//
+// The drivers differ only where their engines do: the sharded driver
+// quantizes timing to epochs (events decide at their own instant,
+// attempts issue at the barrier), fires timers before completions at
+// one instant, and completes fast failures inline, where the graph
+// defers them through its event loop. The hot path allocates nothing
+// in steady state: calls and frames live in slot arenas with free
+// lists, timers are typed events, and every per-request decision works
+// on preallocated state.
 package ingress
 
 import (
 	"fmt"
+	"math"
 
 	"xcontainers/internal/cycles"
 	"xcontainers/internal/sim"
@@ -159,6 +175,32 @@ type RoutePolicy struct {
 	ShedDepth int
 }
 
+// Validate rejects policies the call machine cannot honour: an
+// unknown balancer, non-finite or out-of-range probabilities, and
+// negative counts, depths, ratios, or durations. A duration at or past
+// 2^63 cycles is a negative value wrapped by the conversion to cycles.
+func (p RoutePolicy) Validate() error {
+	switch {
+	case p.LB > PowerOfTwo:
+		return fmt.Errorf("ingress: unknown load-balancing policy %v", p.LB)
+	case !(p.HedgeP >= 0 && p.HedgeP < 1):
+		return fmt.Errorf("ingress: hedge quantile %v outside [0,1)", p.HedgeP)
+	case !(p.BreakerFailureRate >= 0 && p.BreakerFailureRate <= 1):
+		return fmt.Errorf("ingress: breaker failure rate %v outside [0,1]", p.BreakerFailureRate)
+	case !(p.BreakerProbeP >= 0 && p.BreakerProbeP <= 1):
+		return fmt.Errorf("ingress: breaker probe probability %v outside [0,1]", p.BreakerProbeP)
+	case !(p.RetryBudget >= 0) || math.IsInf(p.RetryBudget, 1):
+		return fmt.Errorf("ingress: retry budget %v must be finite and non-negative", p.RetryBudget)
+	case p.Retries < 0 || p.ShedDepth < 0 || p.KeepAliveReqs < 0 || p.BreakerWindow < 0 || p.BreakerProbeQuota < 0:
+		return fmt.Errorf("ingress: retries %d, shed depth %d, keep-alive requests %d, breaker window %d and probe quota %d must not be negative",
+			p.Retries, p.ShedDepth, p.KeepAliveReqs, p.BreakerWindow, p.BreakerProbeQuota)
+	case int64(p.ConnSetup) < 0 || int64(p.Timeout) < 0 || int64(p.Backoff) < 0 || int64(p.BackoffCap) < 0 || int64(p.BreakerCooldown) < 0:
+		return fmt.Errorf("ingress: timeout %d, backoff %d, backoff cap %d, breaker cooldown %d and connection setup %d cycles must not be negative",
+			int64(p.Timeout), int64(p.Backoff), int64(p.BackoffCap), int64(p.BreakerCooldown), int64(p.ConnSetup))
+	}
+	return nil
+}
+
 // normalized applies defaults and caps.
 func (p RoutePolicy) normalized() RoutePolicy {
 	if p.KeepAlive && p.KeepAliveReqs <= 0 {
@@ -213,8 +255,8 @@ type backend struct {
 	weight int
 	down   bool
 
-	kaLeft int // keep-alive: requests left on the open connections
-	cw     int // smooth weighted round-robin current weight
+	kaLeft int32 // keep-alive: requests left on the open connections
+	cw     int   // smooth weighted round-robin current weight
 
 	// unreachable models a network partition between this tier and the
 	// replica: attempts routed here are lost in the network (no replica
@@ -241,20 +283,8 @@ type Service struct {
 	backends []*backend
 	edges    []*Edge
 
-	// attemptLat observes completed attempts' service-phase latency
-	// (attempt start → replica completion, queueing included) — the
-	// basis for hedge delays.
-	attemptLat sim.Histogram
-
-	completions  uint64 // attempts completed at replicas, wasted included
-	wasted       uint64 // completions nobody was waiting for any more
-	wastedCycles cycles.Cycles
-
-	// wastedLat observes wasted completions' latency separately from
-	// attemptLat and the route histograms: a hedge loser's slow finish
-	// is capacity accounting, not request experience, and folding it
-	// into p99 would indict hedging for the very tail it removed.
-	wastedLat sim.Histogram
+	pool        Pool   // shared by every route into this service
+	completions uint64 // attempts completed at replicas, wasted included
 }
 
 // Name returns the service's display name.
@@ -308,12 +338,12 @@ func (s *Service) SetErrorRate(i int, rate float64, seed uint64) {
 
 // Edge is one route: calls from one service (or the client) into
 // another, under a policy. Edges are created in Connect order and
-// reported in that order.
+// reported in that order; the embedded Route is the edge's state in the
+// graph's call machine.
 type Edge struct {
+	*Route
 	g        *Graph
-	idx      int32
 	from, to *Service // from == nil for the entry edge
-	pol      RoutePolicy
 	// hit is the edge's cache behaviour. Sequential mode: probability
 	// that, after this edge completes, the remaining edges are skipped
 	// (a tiered-cache hit). FanOut mode: probability the edge is not
@@ -321,38 +351,7 @@ type Edge struct {
 	// failure degrades to a miss instead of failing the caller.
 	hit float64
 
-	rr     int // round-robin cursor
-	budget float64
-	br     *Breaker // nil unless the policy arms the circuit breaker
-
-	// lat observes successful full-call latency (admission → call
-	// completion, downstream subtree included) — the reported
-	// percentiles.
-	lat sim.Histogram
-
-	calls        uint64
-	completed    uint64
-	failed       uint64
-	retries      uint64
-	timeouts     uint64
-	lost         uint64 // attempts lost with a dead backlog, retried like timeouts
-	hedges       uint64
-	hedgeWins    uint64
-	budgetDenied uint64
-	noBackend    uint64
-	handshakes   uint64
-	errors       uint64 // gray-failure attempt errors at this route's target
-	shed         uint64 // calls failed fast by the overload valve
-}
-
-// Name renders the route like "ingress->app"; the entry edge's source
-// is the client.
-func (e *Edge) Name() string {
-	from := "client"
-	if e.from != nil {
-		from = e.from.name
-	}
-	return from + "->" + e.to.name
+	rr int // round-robin cursor
 }
 
 // pick selects a replica index under the edge's policy, or -1 when no
@@ -472,46 +471,16 @@ func (e *Edge) pickOther(avoid int) int {
 	return idx
 }
 
-// attemptCost is the service demand of one attempt at replica b:
-// per-request cost plus the connection-handling charge.
-func (e *Edge) attemptCost(b *backend) cycles.Cycles {
-	cost := b.cost
-	if e.pol.ConnSetup == 0 {
-		return cost
-	}
-	if !e.pol.KeepAlive {
-		e.handshakes++
-		return cost + e.pol.ConnSetup
-	}
-	if b.kaLeft == 0 {
-		e.handshakes++
-		cost += e.pol.ConnSetup
-		b.kaLeft = e.pol.KeepAliveReqs
-	}
-	b.kaLeft--
-	return cost
-}
-
 // overloaded is the shed predicate: the target's total backlog spread
-// over its up replicas exceeds the route's ShedDepth.
-func (e *Edge) overloaded() bool {
-	depth, up := 0, 0
+// over its up replicas exceeds depth.
+func (e *Edge) overloaded(depth int) bool {
+	total, up := 0, 0
 	for _, b := range e.to.backends {
 		if b.down {
 			continue
 		}
-		depth += b.q.Depth()
+		total += b.q.Depth()
 		up++
 	}
-	return up > 0 && depth > e.pol.ShedDepth*up
-}
-
-// hedgeDelay is the armed hedge trigger: the route target's observed
-// HedgeP attempt-latency quantile, or 0 when hedging is off or still
-// warming up.
-func (e *Edge) hedgeDelay() cycles.Cycles {
-	if e.pol.HedgeP <= 0 || e.to.attemptLat.Count() < hedgeMinSamples {
-		return 0
-	}
-	return e.to.attemptLat.Quantile(e.pol.HedgeP)
+	return up > 0 && total > depth*up
 }

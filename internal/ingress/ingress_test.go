@@ -2,6 +2,7 @@ package ingress
 
 import (
 	"encoding/json"
+	"math"
 	"testing"
 
 	"xcontainers/internal/cycles"
@@ -215,7 +216,7 @@ func TestHedgingCutsP99(t *testing.T) {
 	run := func(hedgeP float64) (*rig, RouteStats) {
 		r := hedgeRig(t, hedgeP)
 		r.drive(4000, cycles.FromMicros(50))
-		return r, statsOf(r.g.Entry())
+		return r, r.g.Entry().Stats()
 	}
 	_, plain := run(0)
 	rh, hedged := run(0.9)
@@ -389,5 +390,34 @@ func TestGraphReportDeterminism(t *testing.T) {
 	}
 	if c := snapshot(10); c == a {
 		t.Error("different seed produced identical stats — rng not wired through")
+	}
+}
+
+// TestRoutePolicyValidate: every out-of-range knob is rejected, and the
+// zero policy, a fully armed one, and the cap-bound retry count pass.
+func TestRoutePolicyValidate(t *testing.T) {
+	nan := math.NaN()
+	wrapped := cycles.Cycles(1 << 63) // a negative duration after conversion
+	for _, p := range []RoutePolicy{
+		{},
+		{LB: PowerOfTwo, KeepAlive: true, KeepAliveReqs: 32, Timeout: cycles.FromMicros(400),
+			Retries: 20, Backoff: cycles.FromMicros(50), RetryBudget: 0.2, HedgeP: 0.95,
+			BreakerFailureRate: 1, BreakerProbeP: 1, ShedDepth: 64},
+	} {
+		if err := p.Validate(); err != nil {
+			t.Errorf("%+v rejected: %v", p, err)
+		}
+	}
+	for _, p := range []RoutePolicy{
+		{LB: PowerOfTwo + 1},
+		{HedgeP: 1}, {HedgeP: -0.1}, {HedgeP: nan},
+		{BreakerFailureRate: 1.5}, {BreakerFailureRate: nan},
+		{BreakerProbeP: 2}, {RetryBudget: -1}, {RetryBudget: math.Inf(1)}, {RetryBudget: nan},
+		{Retries: -1}, {ShedDepth: -3}, {KeepAliveReqs: -1}, {BreakerWindow: -1}, {BreakerProbeQuota: -1},
+		{Timeout: wrapped}, {Backoff: wrapped}, {BackoffCap: wrapped}, {BreakerCooldown: wrapped}, {ConnSetup: wrapped},
+	} {
+		if err := p.Validate(); err == nil {
+			t.Errorf("%+v accepted", p)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package ingress
 
 import (
 	"xcontainers/internal/cycles"
+	"xcontainers/internal/sim"
 )
 
 // RouteStats is one edge's report section: call accounting, robustness
@@ -35,35 +36,35 @@ type RouteStats struct {
 	MaxUS  float64 `json:"max_us"`
 }
 
-// statsOf snapshots one edge.
-func statsOf(e *Edge) RouteStats {
+// Stats snapshots the route's report section.
+func (r *Route) Stats() RouteStats {
 	st := RouteStats{
-		Route:     e.Name(),
-		Calls:     e.calls,
-		Completed: e.completed,
-		Failed:    e.failed,
+		Route:     r.name,
+		Calls:     r.calls,
+		Completed: r.completed,
+		Failed:    r.failed,
 
-		Retries:      e.retries,
-		Timeouts:     e.timeouts,
-		Lost:         e.lost,
-		Hedges:       e.hedges,
-		HedgeWins:    e.hedgeWins,
-		BudgetDenied: e.budgetDenied,
-		NoBackend:    e.noBackend,
-		Handshakes:   e.handshakes,
+		Retries:      r.retries,
+		Timeouts:     r.timeouts,
+		Lost:         r.lost,
+		Hedges:       r.hedges,
+		HedgeWins:    r.hedgeWins,
+		BudgetDenied: r.budgetDenied,
+		NoBackend:    r.noBackend,
+		Handshakes:   r.handshakes,
 
-		Errors: e.errors,
-		Shed:   e.shed,
+		Errors: r.errors,
+		Shed:   r.shed,
 
-		MeanUS: e.lat.MeanMicros(),
-		P50US:  e.lat.Quantile(0.50).Micros(),
-		P95US:  e.lat.Quantile(0.95).Micros(),
-		P99US:  e.lat.Quantile(0.99).Micros(),
-		MaxUS:  e.lat.Max().Micros(),
+		MeanUS: r.lat.MeanMicros(),
+		P50US:  r.lat.Quantile(0.50).Micros(),
+		P95US:  r.lat.Quantile(0.95).Micros(),
+		P99US:  r.lat.Quantile(0.99).Micros(),
+		MaxUS:  r.lat.Max().Micros(),
 	}
-	if e.br != nil {
-		st.BreakerOpens = e.br.Opens()
-		st.BreakerFastFails = e.br.FastFails()
+	if r.br != nil {
+		st.BreakerOpens = r.br.Opens()
+		st.BreakerFastFails = r.br.FastFails()
 	}
 	return st
 }
@@ -73,7 +74,7 @@ func statsOf(e *Edge) RouteStats {
 func (g *Graph) RouteStats() []RouteStats {
 	out := make([]RouteStats, len(g.edges))
 	for i, e := range g.edges {
-		out[i] = statsOf(e)
+		out[i] = e.Stats()
 	}
 	return out
 }
@@ -106,34 +107,39 @@ type ServiceStats struct {
 func (g *Graph) ServiceStats(horizon cycles.Cycles) []ServiceStats {
 	out := make([]ServiceStats, len(g.services))
 	for i, s := range g.services {
-		st := ServiceStats{
-			Service:     s.name,
-			Replicas:    len(s.backends),
-			Completions: s.completions,
-			Wasted:      s.wasted,
-			WastedMS:    s.wastedCycles.Micros() / 1e3,
-		}
-		if s.wasted > 0 {
-			st.WastedP50US = s.wastedLat.Quantile(0.50).Micros()
-			st.WastedP95US = s.wastedLat.Quantile(0.95).Micros()
-			st.WastedP99US = s.wastedLat.Quantile(0.99).Micros()
-		}
-		var util, depth float64
-		maxD := 0
-		for _, b := range s.backends {
-			util += b.q.Utilization(horizon)
-			depth += b.q.MeanDepth(horizon)
-			if d := b.q.MaxDepth(); d > maxD {
-				maxD = d
-			}
-		}
-		if n := len(s.backends); n > 0 {
-			st.Utilization = util / float64(n)
-			depth /= float64(n)
-		}
-		st.MeanDepth = depth
-		st.MaxDepth = maxD
-		out[i] = st
+		out[i] = s.pool.ServiceStats(s.name, s.completions, horizon, len(s.backends),
+			func(i int) *sim.Queue { return s.backends[i].q })
 	}
 	return out
+}
+
+// ServiceStats renders the report section of a replica set behind this
+// pool over [0, horizon]: n replicas whose queues replica yields, and
+// completions attempts served there, wasted ones included.
+func (p *Pool) ServiceStats(name string, completions uint64, horizon cycles.Cycles, n int, replica func(int) *sim.Queue) ServiceStats {
+	st := ServiceStats{
+		Service:     name,
+		Replicas:    n,
+		Completions: completions,
+		Wasted:      p.wasted,
+		WastedMS:    p.wastedCycles.Micros() / 1e3,
+	}
+	if p.wasted > 0 {
+		st.WastedP50US = p.wastedLat.Quantile(0.50).Micros()
+		st.WastedP95US = p.wastedLat.Quantile(0.95).Micros()
+		st.WastedP99US = p.wastedLat.Quantile(0.99).Micros()
+	}
+	var util, depth float64
+	for i := 0; i < n; i++ {
+		q := replica(i)
+		util += q.Utilization(horizon)
+		depth += q.MeanDepth(horizon)
+		st.MaxDepth = max(st.MaxDepth, q.MaxDepth())
+	}
+	if n > 0 {
+		st.Utilization = util / float64(n)
+		depth /= float64(n)
+	}
+	st.MeanDepth = depth
+	return st
 }

@@ -1,6 +1,8 @@
 package xc
 
 import (
+	"fmt"
+	"math"
 	"strings"
 
 	"xcontainers/internal/cycles"
@@ -157,6 +159,22 @@ func (i *IngressSpec) CacheHit(p float64) *IngressSpec {
 func (i *IngressSpec) Cores(n int) *IngressSpec {
 	i.cores = n
 	return i
+}
+
+// validate rejects knobs no route can honour. Durations are checked in
+// microseconds, before the conversion to cycles would wrap a negative
+// or non-finite value; everything else is ingress.RoutePolicy.Validate's.
+func (i *IngressSpec) validate() error {
+	if i == nil {
+		return nil
+	}
+	if !(i.timeoutUS >= 0) || math.IsInf(i.timeoutUS, 1) {
+		return fmt.Errorf("xc: ingress timeout %vµs must be finite and non-negative", i.timeoutUS)
+	}
+	if !(i.backoffUS >= 0) || math.IsInf(i.backoffUS, 1) {
+		return fmt.Errorf("xc: ingress backoff %vµs must be finite and non-negative", i.backoffUS)
+	}
+	return i.route().Validate()
 }
 
 // route lowers the spec into the internal per-edge policy.

@@ -67,15 +67,6 @@ func ParseKind(s string) (Kind, error) {
 	return 0, fmt.Errorf("xc: unknown runtime %q (known: %s)", s, KindUsage())
 }
 
-// MustParseKind is ParseKind for static configurations.
-func MustParseKind(s string) Kind {
-	k, err := ParseKind(s)
-	if err != nil {
-		panic(err)
-	}
-	return k
-}
-
 // Kinds returns all evaluated architectures in the paper's order.
 func Kinds() []Kind {
 	out := make([]Kind, len(kindTable))

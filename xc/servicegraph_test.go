@@ -74,6 +74,18 @@ func TestServiceGraphValidation(t *testing.T) {
 			g.Service("a", App("nginx"), 1)
 			return g.Entry("a", nil)
 		}(), "duplicate service"},
+		{"bad-entry-policy", func() *ServiceGraphSpec {
+			g := ServiceGraph()
+			g.Service("a", App("nginx"), 1)
+			return g.Entry("a", Ingress().Hedge(2))
+		}(), "hedge quantile"},
+		{"bad-route-policy", func() *ServiceGraphSpec {
+			g := ServiceGraph()
+			g.Service("a", App("nginx"), 1)
+			g.Service("b", App("nginx"), 1)
+			g.Entry("a", nil)
+			return g.Route("a", "b", Ingress().TimeoutMicros(-1))
+		}(), "route a->b"},
 	}
 	p := MustNewPlatform(XContainer)
 	for _, tc := range cases {

@@ -19,14 +19,13 @@ import (
 // Builders never fail in place; errors surface from Build or
 // Platform.Run, so chains stay fluent.
 type Workload struct {
-	name        string
-	app         *apps.App
-	text        *arch.Text
-	iters       uint32
-	granularity int
-	warmup      uint
-	observe     *ObserveSpec
-	err         error
+	name    string
+	app     *apps.App
+	text    *arch.Text
+	iters   uint32
+	warmup  uint
+	observe *ObserveSpec
+	err     error
 }
 
 const defaultIterations = 50
@@ -84,13 +83,6 @@ func (w *Workload) Iterations(n uint32) *Workload {
 	return w
 }
 
-// Granularity sets how many syscall-site calls one main-loop iteration
-// expands to (default 100); application workloads only.
-func (w *Workload) Granularity(n int) *Workload {
-	w.granularity = n
-	return w
-}
-
 // Warmup sets how many warm-up passes Platform.Run executes over the
 // same text before the measured run. Each pass runs the full binary in
 // a throwaway container sharing the text, so under X-Containers the
@@ -116,9 +108,6 @@ func (w *Workload) Name() string { return w.name }
 // WarmupPasses returns the configured warm-up pass count.
 func (w *Workload) WarmupPasses() uint { return w.warmup }
 
-// IterationCount returns the configured main-loop iteration count.
-func (w *Workload) IterationCount() uint32 { return w.iters }
-
 // Model returns the underlying application model (request profile, site
 // population) for flow-level drivers, or nil for raw-program workloads.
 func (w *Workload) Model() *apps.App { return w.app }
@@ -141,7 +130,7 @@ func (w *Workload) Build() (*arch.Text, error) {
 	if w.iters == 0 {
 		return nil, fmt.Errorf("xc: workload %q: iterations must be at least 1", w.name)
 	}
-	return w.app.BuildBinary(w.iters, w.granularity)
+	return w.app.BuildBinary(w.iters, 0) // default granularity
 }
 
 // appByName resolves names case-insensitively over the full catalog.
