@@ -172,7 +172,7 @@ func (fi *fleetIngress) processEpoch() {
 			fi.m.Start(fi.route, fleetTag{client: e.id, born: e.born}, now)
 		case fiEvFleetDone:
 			j := sim.Job{ID: e.id, Cost: e.cost, Born: e.born}
-			if slot, live := fi.m.Resolve(j, e.at, &fi.pool); live && fi.m.Answer(slot, j, e.at, e.erred) {
+			if slot, live := fi.m.Resolve(&j, e.at, &fi.pool); live && fi.m.Answer(slot, &j, e.at, e.erred) {
 				fi.m.Finish(slot, e.at, true)
 			}
 		default:

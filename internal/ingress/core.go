@@ -352,7 +352,7 @@ func (m *Machine[T, D]) lookup(id uint64) (slot int32, k uint8, valid, live bool
 // completion nobody waits for any more — the call timed out, was
 // retried elsewhere, or a hedge twin won — is wasted capacity of pool,
 // and ok is false.
-func (m *Machine[T, D]) Resolve(j sim.Job, at cycles.Cycles, pool *Pool) (slot int32, ok bool) {
+func (m *Machine[T, D]) Resolve(j *sim.Job, at cycles.Cycles, pool *Pool) (slot int32, ok bool) {
 	slot, _, valid, live := m.lookup(j.ID)
 	if live {
 		return slot, true
@@ -369,7 +369,7 @@ func (m *Machine[T, D]) Resolve(j sim.Job, at cycles.Cycles, pool *Pool) (slot i
 	return slot, false
 }
 
-func (m *Machine[T, D]) waste(p *Pool, j sim.Job, at cycles.Cycles) {
+func (m *Machine[T, D]) waste(p *Pool, j *sim.Job, at cycles.Cycles) {
 	p.wasted++
 	p.wastedCycles += j.Cost
 	p.wastedLat.Observe(at - j.Born)
@@ -378,7 +378,7 @@ func (m *Machine[T, D]) waste(p *Pool, j sim.Job, at cycles.Cycles) {
 
 // abandon wastes live attempt j because its caller no longer needs any
 // answer, and fails the call without letting it start more work.
-func (m *Machine[T, D]) abandon(slot int32, j sim.Job, at cycles.Cycles) {
+func (m *Machine[T, D]) abandon(slot int32, j *sim.Job, at cycles.Cycles) {
 	c := &m.calls[slot]
 	r := m.routes[c.route]
 	emit(m.sink, at, obs.KindSpanEnd, obs.NameAttempt, r.idx, j.ID, 1)
@@ -392,7 +392,7 @@ func (m *Machine[T, D]) abandon(slot int32, j sim.Job, at cycles.Cycles) {
 // burned the cycles but answered with an error) dies like a timeout,
 // and the call retries or fails under its policy. A win moves the call
 // to its subtree; the driver finishes it or runs what it starts.
-func (m *Machine[T, D]) Answer(slot int32, j sim.Job, at cycles.Cycles, erred bool) bool {
+func (m *Machine[T, D]) Answer(slot int32, j *sim.Job, at cycles.Cycles, erred bool) bool {
 	c := &m.calls[slot]
 	r := m.routes[c.route]
 	_, _, _, k := decodeID(j.ID)

@@ -192,7 +192,7 @@ func (g *Graph) AttemptLost(j sim.Job) { g.m.Lost(j.ID, g.eng.Now()) }
 func (g *Graph) attemptDone(s *Service, bi int, j sim.Job) {
 	s.completions++
 	now := g.eng.Now()
-	slot, live := g.m.Resolve(j, now, &s.pool)
+	slot, live := g.m.Resolve(&j, now, &s.pool)
 	if !live {
 		return
 	}
@@ -202,14 +202,14 @@ func (g *Graph) attemptDone(s *Service, bi int, j sim.Job) {
 			// dependency died) or moved on: this completion bought
 			// nothing, and a doomed fan-out must not fan further work
 			// out.
-			g.m.abandon(slot, j, now)
+			g.m.abandon(slot, &j, now)
 			return
 		}
 	}
 	// The gray-failure coin is drawn only for a live attempt whose
 	// caller still waits, from the replica's private stream.
 	b := s.backends[bi]
-	if !g.m.Answer(slot, j, now, b.errRate > 0 && b.errRng.Float64() < b.errRate) {
+	if !g.m.Answer(slot, &j, now, b.errRate > 0 && b.errRng.Float64() < b.errRate) {
 		return
 	}
 	if len(s.edges) == 0 {
