@@ -369,3 +369,24 @@ func TestClusterShardBadInputs(t *testing.T) {
 		t.Error("negative -epoch-us accepted")
 	}
 }
+
+// TestClusterNonFiniteFlags pins that NaN and +Inf traffic and cluster
+// inputs fail before the run instead of hanging it or failing only at
+// report encoding.
+func TestClusterNonFiniteFlags(t *testing.T) {
+	base := []string{"-cluster", "-nodes", "2", "-replicas", "4", "-duration", "0.01", "-json"}
+	for _, flag := range [][]string{
+		{"-duration", "NaN"},
+		{"-duration", "+Inf"},
+		{"-rate", "NaN"},
+		{"-rate", "+Inf"},
+		{"-fail-node", "NaN"},
+		{"-slo", "NaN"},
+		{"-slo", "+Inf"},
+	} {
+		args := append(append([]string{}, base...), flag...)
+		if err := run(args, &bytes.Buffer{}); err == nil {
+			t.Errorf("%s %s accepted", flag[0], flag[1])
+		}
+	}
+}

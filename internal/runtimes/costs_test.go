@@ -76,6 +76,11 @@ func TestInterruptCostOrdering(t *testing.T) {
 	if ic(XContainer, true) >= ic(Docker, true) {
 		t.Error("X-Container interrupts must be cheapest (user-mode emulation)")
 	}
+	for _, patched := range []bool{true, false} {
+		if ic(XContainer, patched) >= ic(XenContainer, patched) {
+			t.Errorf("patched=%v: X-Container interrupts must undercut Xen-Container's (no event-delivery or iret hypercall)", patched)
+		}
+	}
 	if ic(XContainer, true) != ic(XContainer, false) {
 		t.Error("the Meltdown patch must not touch X-Container interrupt delivery")
 	}
@@ -84,6 +89,26 @@ func TestInterruptCostOrdering(t *testing.T) {
 	}
 	if ic(ClearContainer, true) <= ic(Docker, true) {
 		t.Error("nested-virt interrupts must exceed native ones")
+	}
+}
+
+func TestCtxSwitchOrdering(t *testing.T) {
+	for _, patched := range []bool{true, false} {
+		cs := func(kind Kind, same bool) cycles.Cycles {
+			return MustNew(Config{Kind: kind, Patched: patched, Cloud: LocalCluster}).CtxSwitch(same)
+		}
+		// §4.3: X-LibOS mappings keep the global bit, so a switch inside
+		// one X-Container avoids the full TLB flush a PV guest pays.
+		if cs(XContainer, true) >= cs(XenContainer, true) {
+			t.Errorf("patched=%v: X-Container same-container switch (%d) must undercut Xen-Container's (%d)",
+				patched, cs(XContainer, true), cs(XenContainer, true))
+		}
+		for _, kind := range []Kind{XContainer, XenContainer} {
+			if cs(kind, false) <= cs(kind, true) {
+				t.Errorf("patched=%v: %v cross-container switch (%d) must exceed a same-container one (%d)",
+					patched, kind, cs(kind, false), cs(kind, true))
+			}
+		}
 	}
 }
 

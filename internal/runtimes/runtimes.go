@@ -136,10 +136,9 @@ type Runtime struct {
 	Host *linuxsim.Kernel
 	// Hyper is the hypervisor (Xen variants and X-Container).
 	Hyper *xkernel.Kernel
-	// GuestTemplate is the guest-kernel configuration cloned per
-	// container for VM-based runtimes.
-	guestKPTI   bool
-	guestGlobal bool
+	// guestKPTI is the guest-kernel KPTI setting cloned per container
+	// for VM-based runtimes.
+	guestKPTI bool
 
 	nextID int
 }
@@ -159,21 +158,18 @@ func New(cfg Config) (*Runtime, error) {
 		// the nested VM stays unpatched.
 		r.Host = linuxsim.NewKernel(costs, cfg.Patched)
 		r.guestKPTI = false
-		r.guestGlobal = true
 	case XenContainer, XenPVVM:
 		r.Hyper = xkernel.New(xkernel.Config{
 			Mode: xkernel.ModeXenPV, Costs: costs, XPTI: cfg.Patched,
 			Blanket: cfg.Cloud != LocalCluster, MachineFrames: cfg.MachineFrames,
 		})
 		r.guestKPTI = cfg.Patched
-		r.guestGlobal = false // PV guests cannot use the global bit (§4.3)
 	case XenHVMVM:
 		r.Hyper = xkernel.New(xkernel.Config{
 			Mode: xkernel.ModeXenPV, Costs: costs, XPTI: cfg.Patched,
 			Blanket: cfg.Cloud != LocalCluster, MachineFrames: cfg.MachineFrames,
 		})
 		r.guestKPTI = cfg.Patched
-		r.guestGlobal = true // HVM guests keep hardware paging features
 	case XContainer:
 		r.Hyper = xkernel.New(xkernel.Config{
 			Mode: xkernel.ModeXKernel, Costs: costs, XPTI: cfg.Patched,
@@ -283,8 +279,7 @@ func (r *Runtime) NewContainer(name string, vcpus int, packed bool) (*Container,
 			return nil, err
 		}
 		c.Dom = dom
-		c.Guest = linuxsim.NewPVKernel(r.Costs, r.guestKPTI)
-		c.Guest.Global = r.guestGlobal
+		c.Guest = linuxsim.NewKernel(r.Costs, r.guestKPTI)
 		c.Svc = c.Guest.Services
 	case ClearContainer:
 		c.Guest = linuxsim.NewKernel(r.Costs, r.guestKPTI)
@@ -459,17 +454,12 @@ func (r *Runtime) NetPerPacket() cycles.Cycles {
 	case GVisor:
 		// Netstack in the Sentry, then host socket over the bridge.
 		return cycles.Cycles(float64(stack)*r.Costs.GVisorNetstackFactor) + stack/2 + nic + r.Costs.ConntrackNAT + portFwd + cloudTax
-	case XenContainer, XenPVVM, XenHVMVM:
-		// Guest stack -> split driver ring -> Domain-0 bridge.
+	case XenContainer, XenPVVM, XenHVMVM, XContainer:
+		// Guest kernel or X-LibOS stack -> split driver ring -> bridge
+		// in Domain-0 or the driver domain; nested in a cloud VM, the
+		// Xen-Blanket layer adds a quarter ring trip.
 		ring := r.Costs.SplitDriverRing
-		if r.Hyper != nil && r.Hyper.Blanket {
-			ring += r.Costs.SplitDriverRing / 4
-		}
-		return stack + ring + r.Costs.BridgeHop + portFwd + nic + cloudTax
-	case XContainer:
-		// X-LibOS stack -> split driver ring -> driver domain bridge.
-		ring := r.Costs.SplitDriverRing
-		if r.Hyper != nil && r.Hyper.Blanket {
+		if r.Hyper.Blanket {
 			ring += r.Costs.SplitDriverRing / 4
 		}
 		return stack + ring + r.Costs.BridgeHop + portFwd + nic + cloudTax

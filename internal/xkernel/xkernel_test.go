@@ -134,19 +134,6 @@ func TestGlobalBitAppliedToKernelHalf(t *testing.T) {
 	}
 }
 
-func TestClassifyMode(t *testing.T) {
-	k := newXK(t)
-	if k.ClassifyMode(arch.UserStackTop) != GuestUser {
-		t.Error("user stack must classify as guest user")
-	}
-	if k.ClassifyMode(arch.KernelStackTop) != GuestKernel {
-		t.Error("kernel stack must classify as guest kernel")
-	}
-	if k.Stats.ModeChecks != 2 {
-		t.Errorf("mode checks = %d", k.Stats.ModeChecks)
-	}
-}
-
 func TestSyscallForwardCosts(t *testing.T) {
 	pv := New(Config{Mode: ModeXenPV})
 	xk := newXK(t)
@@ -169,61 +156,6 @@ func TestXPTITaxesTraps(t *testing.T) {
 	}
 }
 
-func TestIretModes(t *testing.T) {
-	pv := New(Config{Mode: ModeXenPV})
-	xk := newXK(t)
-	c1, c2 := &cycles.Clock{}, &cycles.Clock{}
-	pv.Iret(c1)
-	xk.Iret(c2)
-	if pv.Stats.IretHypercalls != 1 {
-		t.Error("stock PV iret must hypercall")
-	}
-	if xk.Stats.IretHypercalls != 0 {
-		t.Error("X-Kernel iret must not hypercall (§4.2 user-mode iret)")
-	}
-	if c2.Now() >= c1.Now() {
-		t.Error("user-mode iret must be cheaper")
-	}
-}
-
-func TestEventDelivery(t *testing.T) {
-	xk := newXK(t)
-	c1, c2 := &cycles.Clock{}, &cycles.Clock{}
-	xk.DeliverEvent(c1, false) // trap path
-	xk.DeliverEvent(c2, true)  // user-mode emulation
-	if c2.Now() >= c1.Now() {
-		t.Error("user-mode event delivery must be cheaper than trapping")
-	}
-	if xk.Stats.EventsDelivered != 2 || xk.Stats.EventsUserMode != 1 {
-		t.Errorf("stats = %+v", xk.Stats)
-	}
-}
-
-func TestVCPUSwitchTLBBehaviour(t *testing.T) {
-	xk := newXK(t)
-	tlb := mem.NewTLB(8)
-	as := mem.NewAddressSpace(1)
-	as.Map(5, mem.PTE{Frame: 1, Global: true})
-	as.Map(6, mem.PTE{Frame: 2})
-	tlb.Lookup(as, 5)
-	tlb.Lookup(as, 6)
-
-	clk := &cycles.Clock{}
-	// Same-domain switch: global entries survive.
-	xk.VCPUSwitch(clk, tlb, true)
-	if tlb.Len() != 2 {
-		t.Errorf("same-domain switch flushed TLB: len=%d", tlb.Len())
-	}
-	// Cross-container switch: full flush, even global entries.
-	xk.VCPUSwitch(clk, tlb, false)
-	if tlb.Len() != 0 {
-		t.Errorf("cross-container switch must flush all: len=%d", tlb.Len())
-	}
-	if tlb.HasGlobalEntries() {
-		t.Error("no global entries may survive a cross-container switch")
-	}
-}
-
 func TestAttackSurfaceComparison(t *testing.T) {
 	x, l := XKernelSurface(), LinuxSurface()
 	if x.Interfaces >= l.Interfaces/5 {
@@ -242,6 +174,61 @@ func TestAttackSurfaceComparison(t *testing.T) {
 	for h := Hypercall(0); h < NumHypercalls; h++ {
 		if h.String() == "" || h.String() == "hypercall(?)" {
 			t.Errorf("hypercall %d unnamed", h)
+		}
+	}
+}
+
+func TestBalloonDownAndUp(t *testing.T) {
+	k := New(Config{Mode: ModeXKernel, MachineFrames: 100})
+	a, _ := k.CreateDomain("a", DomXContainer, 60, 1)
+	if _, err := k.CreateDomain("b", DomXContainer, 60, 1); err == nil {
+		t.Fatal("machine should be too small for both at full size")
+	}
+	// a balloons down; b now fits.
+	if err := k.BalloonAdjust(a, -30); err != nil {
+		t.Fatal(err)
+	}
+	if a.MemoryPages != 30 || len(a.Frames) != 30 {
+		t.Fatalf("after balloon: pages=%d frames=%d", a.MemoryPages, len(a.Frames))
+	}
+	b, err := k.CreateDomain("b", DomXContainer, 60, 1)
+	if err != nil {
+		t.Fatalf("b should fit after ballooning: %v", err)
+	}
+	// a cannot balloon back past the machine limit...
+	if err := k.BalloonAdjust(a, 30); err == nil {
+		t.Fatal("balloon up past machine memory must fail")
+	}
+	// ...until b shrinks.
+	if err := k.BalloonAdjust(b, -40); err != nil {
+		t.Fatal(err)
+	}
+	if err := k.BalloonAdjust(a, 30); err != nil {
+		t.Fatalf("balloon up after space freed: %v", err)
+	}
+	// Can't shrink below zero.
+	if err := k.BalloonAdjust(b, -10000); err == nil {
+		t.Fatal("balloon below held pages must fail")
+	}
+	// Zero is a no-op.
+	if err := k.BalloonAdjust(a, 0); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestBalloonOwnership(t *testing.T) {
+	// Frames released by a balloon can be claimed by another domain and
+	// carry the new owner (no stale mappings possible).
+	k := New(Config{Mode: ModeXKernel, MachineFrames: 10})
+	a, _ := k.CreateDomain("a", DomXContainer, 10, 1)
+	if err := k.BalloonAdjust(a, -5); err != nil {
+		t.Fatal(err)
+	}
+	b, _ := k.CreateDomain("b", DomXContainer, 5, 1)
+	for _, f := range b.Frames {
+		owner, ok := k.Frames.Owner(f)
+		if !ok || owner != b.Owner {
+			t.Fatalf("frame %d owner = %d, want %d", f, owner, b.Owner)
 		}
 	}
 }

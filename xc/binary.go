@@ -44,11 +44,8 @@ func Decode(b []byte) Instr { return arch.Decode(b) }
 // NewABOM creates an enabled binary patcher with fresh statistics.
 func NewABOM() *ABOM { return abom.New() }
 
-// SyscallNumber resolves a syscall name ("getpid", "read", ...) to its
-// ABI number.
-func SyscallNumber(name string) (SyscallNo, error) { return parseSyscall(name) }
-
-// MustSyscallNumber is SyscallNumber for static names.
+// MustSyscallNumber resolves a static syscall name ("getpid", "read",
+// ...) to its ABI number, panicking on an unknown name.
 func MustSyscallNumber(name string) SyscallNo {
 	n, err := parseSyscall(name)
 	if err != nil {

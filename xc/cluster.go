@@ -3,6 +3,7 @@ package xc
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 
 	"xcontainers/internal/chaos"
@@ -152,6 +153,12 @@ func (c *Cluster) Serve(w *Workload, spec ClusterSpec, t *TrafficSpec) (*Cluster
 	app, t, err := serveInputs(w, t)
 	if err != nil {
 		return nil, err
+	}
+	if !(spec.SLOMillis >= 0) || math.IsInf(spec.SLOMillis, 1) {
+		return nil, fmt.Errorf("xc: cluster SLO %vms must be finite and non-negative", spec.SLOMillis)
+	}
+	if !(spec.FailNode >= 0) || math.IsInf(spec.FailNode, 1) {
+		return nil, fmt.Errorf("xc: cluster fail-node time %vs must be finite and non-negative", spec.FailNode)
 	}
 	replicas := spec.Replicas
 	if replicas == 0 {

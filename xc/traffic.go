@@ -2,6 +2,7 @@ package xc
 
 import (
 	"fmt"
+	"math"
 
 	"xcontainers/internal/apps"
 	"xcontainers/internal/cycles"
@@ -104,17 +105,19 @@ func (t *TrafficSpec) Observe(o *ObserveSpec) *TrafficSpec {
 // validate rejects specs the engine cannot give a meaningful answer
 // for, mirroring netsim.Pipeline.Simulate's input contract.
 func (t *TrafficSpec) validate() error {
-	if t.rate < 0 {
-		return fmt.Errorf("xc: traffic rate %v must not be negative", t.rate)
+	if !(t.rate >= 0) || math.IsInf(t.rate, 1) {
+		return fmt.Errorf("xc: traffic rate %v must be finite and non-negative", t.rate)
 	}
-	if t.duration < 0 {
-		return fmt.Errorf("xc: traffic duration %v must not be negative", t.duration)
+	if !(t.duration >= 0) || math.IsInf(t.duration, 1) {
+		return fmt.Errorf("xc: traffic duration %v must be finite and non-negative", t.duration)
 	}
 	if t.conns < 0 || t.workers < 0 || t.cores < 0 || t.containers < 0 {
 		return fmt.Errorf("xc: traffic connections/workers/cores/containers must not be negative")
 	}
-	if b := t.burst; b != nil && (b.PeakRate <= 0 || b.OnSeconds <= 0 || b.OffSeconds < 0) {
-		return fmt.Errorf("xc: burst needs a positive peak rate and on-duration (and a non-negative off-duration), got peak=%v on=%v off=%v",
+	if b := t.burst; b != nil && (!(b.PeakRate > 0) || math.IsInf(b.PeakRate, 1) ||
+		!(b.OnSeconds > 0) || math.IsInf(b.OnSeconds, 1) ||
+		!(b.OffSeconds >= 0) || math.IsInf(b.OffSeconds, 1)) {
+		return fmt.Errorf("xc: burst needs a finite positive peak rate and on-duration (and a finite non-negative off-duration), got peak=%v on=%v off=%v",
 			b.PeakRate, b.OnSeconds, b.OffSeconds)
 	}
 	return nil

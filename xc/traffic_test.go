@@ -2,6 +2,7 @@ package xc
 
 import (
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 )
@@ -161,6 +162,16 @@ func TestServeRejectsInvalidSpecs(t *testing.T) {
 		Traffic().Burst(0, 0.01, 0.01),    // no peak rate
 		Traffic().Burst(1000, 0, 0.01),    // zero-length bursts
 		Traffic().Burst(1000, 0.01, -0.1), // negative silence
+		Traffic().Rate(math.NaN()),
+		Traffic().Rate(math.Inf(1)),
+		Traffic().Duration(math.NaN()),
+		Traffic().Duration(math.Inf(1)),
+		Traffic().Burst(math.NaN(), 0.01, 0.01),
+		Traffic().Burst(math.Inf(1), 0.01, 0.01),
+		Traffic().Burst(1000, math.NaN(), 0.01),
+		Traffic().Burst(1000, math.Inf(1), 0.01),
+		Traffic().Burst(1000, 0.01, math.NaN()),
+		Traffic().Burst(1000, 0.01, math.Inf(1)),
 	}
 	for i, spec := range bad {
 		if _, err := p.Serve(w, spec); err == nil {
