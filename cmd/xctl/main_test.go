@@ -370,9 +370,9 @@ func TestClusterShardBadInputs(t *testing.T) {
 	}
 }
 
-// TestClusterNonFiniteFlags pins that NaN and +Inf traffic and cluster
-// inputs fail before the run instead of hanging it or failing only at
-// report encoding.
+// TestClusterNonFiniteFlags pins that NaN and +Inf traffic, cluster,
+// chaos-plan and deploy inputs fail before the run instead of hanging
+// it, failing only at report encoding, or being silently accepted.
 func TestClusterNonFiniteFlags(t *testing.T) {
 	base := []string{"-cluster", "-nodes", "2", "-replicas", "4", "-duration", "0.01", "-json"}
 	for _, flag := range [][]string{
@@ -383,6 +383,11 @@ func TestClusterNonFiniteFlags(t *testing.T) {
 		{"-fail-node", "NaN"},
 		{"-slo", "NaN"},
 		{"-slo", "+Inf"},
+		{"-chaos-plan", "crash@NaN"},
+		{"-chaos-plan", "crash@Inf"},
+		{"-chaos-plan", "gray@0.1+NaN,count=2"},
+		{"-deploy", "canary@NaN"},
+		{"-deploy", "rolling@0.1,frac=NaN"},
 	} {
 		args := append(append([]string{}, base...), flag...)
 		if err := run(args, &bytes.Buffer{}); err == nil {

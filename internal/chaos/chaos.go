@@ -310,10 +310,15 @@ func splitOpt(o string) (key, val string, err error) {
 	return k, v, nil
 }
 
+// parseFloat decodes every float in the DSL; NaN and ±Inf are refused
+// here, since no later range check can catch a NaN.
 func parseFloat(key, v string) (float64, error) {
 	f, err := strconv.ParseFloat(v, 64)
 	if err != nil {
 		return 0, fmt.Errorf("chaos: option %s=%q: %v", key, v, err)
+	}
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return 0, fmt.Errorf("chaos: option %s=%q: not a finite number", key, v)
 	}
 	return f, nil
 }

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -73,6 +74,62 @@ func TestParseErrors(t *testing.T) {
 			t.Errorf("Parse(%q): want error", s)
 		}
 	}
+}
+
+// TestParseRejectsNonFinite pins that NaN and ±Inf fail in the parser,
+// naming the option, wherever a float enters the DSL: no range check
+// downstream can catch a NaN.
+func TestParseRejectsNonFinite(t *testing.T) {
+	for _, tc := range []struct{ plan, key string }{
+		{"crash@NaN", "at="},
+		{"crash@Inf", "at="},
+		{"crash@-Inf", "at="},
+		{"gray@0.1+NaN,count=2", "dur="},
+		{"gray@0.1+0.2,cost=+Inf", "cost="},
+		{"gray@0.1+0.2,err=NaN", "err="},
+		{"partition@0.1+0.2,frac=NaN", "frac="},
+		{"restart@0.1,recovery=Inf", "recovery="},
+		{"probes,interval=NaN", "interval="},
+		{"probes,timeout-us=Inf", "timeout-us="},
+	} {
+		_, err := Parse(tc.plan)
+		if err == nil || !strings.Contains(err.Error(), tc.key) {
+			t.Errorf("Parse(%q) = %v, want an error naming %s", tc.plan, err, tc.key)
+		}
+	}
+}
+
+// FuzzChaosParse holds Parse to its contract on arbitrary input: it
+// never panics, and a plan it accepts carries only finite floats.
+func FuzzChaosParse(f *testing.F) {
+	for _, s := range []string{
+		"crash@0.25,count=3",
+		"gray@0.3+0.2,cost=4,err=0.05,version=2",
+		"partition@0.4+0.1,frac=0.5",
+		"restart@0.5,count=2,recovery=0.02",
+		"probes,interval=0.005,timeout-us=800,unhealthy=3,healthy=2",
+		"crash@0.2;gray@0.3+0.1,count=2,err=0.3;probes,interval=0.005",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		p, err := Parse(s)
+		if err != nil {
+			return
+		}
+		var vals []float64
+		if pr := p.Probes; pr != nil {
+			vals = append(vals, pr.IntervalSec, pr.TimeoutUS)
+		}
+		for _, x := range p.Faults {
+			vals = append(vals, x.AtSec, x.DurationSec, x.Frac, x.CostFactor, x.ErrorRate, x.RecoverySec)
+		}
+		for _, v := range vals {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("Parse(%q) accepted a non-finite value: %+v", s, p)
+			}
+		}
+	})
 }
 
 func TestNormalizeValidates(t *testing.T) {

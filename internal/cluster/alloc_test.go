@@ -12,8 +12,12 @@ import (
 // The sharded serve path inherits the kernel's zero-alloc budget:
 // replicas are flyweight handles, routing works on the preallocated
 // epoch table, barrier folding reuses histograms and buffers, and
-// closed-loop re-issue recycles jobs through the canonical outbox — so
-// steady-state epochs (thousands of requests each) cost the garbage
+// closed-loop re-issue merges the shards' done runs where they lie.
+// Each run is put in (time, replica) order by the worker that ran its
+// epoch, and a merge tree sized once with the shards interleaves the
+// runs at the barrier in the order a stable sort of them would give (a
+// replica's records all sit in its one shard's run). So steady-state
+// epochs (thousands of requests each) cost the garbage
 // collector nothing. This is the ISSUE's acceptance criterion: without
 // it, a 10k-node fleet's serve path would allocate per request and
 // planet-scale runs would be GC-bound.

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -269,6 +270,47 @@ func TestProbeSweepAllocFree(t *testing.T) {
 	if avg := testing.AllocsPerRun(100, func() { x.probeSweep(cycles.FromSeconds(0.01)) }); avg != 0 {
 		t.Fatalf("probeSweep allocates %.1f/op in steady state", avg)
 	}
+}
+
+// TestParseDeployRejectsNonFinite pins that NaN and ±Inf fail in the
+// parser, naming the option: normalize's range checks pass a NaN.
+func TestParseDeployRejectsNonFinite(t *testing.T) {
+	for _, tc := range []struct{ spec, key string }{
+		{"canary@NaN", "start="},
+		{"rolling@Inf", "start="},
+		{"rolling@0.1,frac=NaN", "frac="},
+		{"canary@0.1,p99us=+Inf", "p99us="},
+		{"canary@0.1,err=-Inf", "err="},
+	} {
+		_, err := ParseDeploy(tc.spec)
+		if err == nil || !strings.Contains(err.Error(), tc.key) {
+			t.Errorf("ParseDeploy(%q) = %v, want an error naming %s", tc.spec, err, tc.key)
+		}
+	}
+}
+
+// FuzzParseDeploy holds ParseDeploy to its contract on arbitrary input:
+// it never panics, and a config it accepts carries only finite floats.
+func FuzzParseDeploy(f *testing.F) {
+	for _, s := range []string{
+		"canary@0.05,frac=0.1,bake=2,err=0.02",
+		"canary@0.1,frac=0.2,bake=4,batch=8,p99us=900,err=0.02,after=3",
+		"rolling@0.1",
+		"bluegreen@0.2,bake=1",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		d, err := ParseDeploy(s)
+		if err != nil {
+			return
+		}
+		for _, v := range []float64{d.StartSec, d.CanaryFrac, d.MaxP99US, d.MaxErrorRate} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("ParseDeploy(%q) accepted a non-finite value: %+v", s, *d)
+			}
+		}
+	})
 }
 
 // TestParseDeploy covers the DSL round trip.

@@ -135,10 +135,15 @@ func ParseDeploy(s string) (*DeployConfig, error) {
 	return d, nil
 }
 
+// parseDeployFloat decodes every float in the DSL; NaN and ±Inf are
+// refused here, since no later range check can catch a NaN.
 func parseDeployFloat(key, v string) (float64, error) {
 	var f float64
 	if _, err := fmt.Sscanf(v, "%g", &f); err != nil {
 		return 0, fmt.Errorf("cluster: deploy option %s=%q: %v", key, v, err)
+	}
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return 0, fmt.Errorf("cluster: deploy option %s=%q: not a finite number", key, v)
 	}
 	return f, nil
 }

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"runtime"
-	"slices"
 
 	"xcontainers/internal/cycles"
 	"xcontainers/internal/ingress"
@@ -36,14 +35,6 @@ import (
 // decisions batch at barriers. EpochUS tunes that fidelity — it is a
 // model parameter, so results depend on it, never on Shards.
 
-// doneRec is one buffered completion: enough to merge canonically and
-// re-issue a closed-loop connection.
-type doneRec struct {
-	at  cycles.Cycles
-	rep int32
-	id  uint64
-}
-
 // shardState is one shard's mutable accumulator set. Between barriers
 // it is touched only by the goroutine driving its engine; barriers fold
 // it from the coordinating goroutine (the worker handshake orders the
@@ -62,7 +53,11 @@ type shardState struct {
 
 	fleetCompleted uint64 // ingress: attempts completed at this shard's replicas
 
-	done  []doneRec // plain closed-loop completions this epoch
+	// done holds the epoch's plain closed-loop completions. The engine
+	// appends them in firing order; the goroutine that ran the epoch
+	// then orders the run by (time, replica) (orderRun), and the
+	// barrier merges the shards' runs.
+	done  []doneRec
 	fdone []fiEvent // ingress attempt completions this epoch
 
 	// ob is the shard's trace outbox (nil = observability off): records
@@ -113,7 +108,7 @@ type shardRun struct {
 
 	collectDone bool // buffer completions for closed-loop re-issue
 
-	outbox []doneRec // reused canonical-merge buffer
+	merge doneMerge // the barrier's k-way merge of the shards' done runs
 
 	workers int
 	work    chan int32
@@ -126,6 +121,7 @@ func newShardRun(c *Cluster, shards int) *shardRun {
 		c:       c,
 		engines: make([]*sim.Engine, shards),
 		shards:  make([]shardState, shards),
+		merge:   newDoneMerge(shards),
 	}
 	sink := &arrivalSink{c: c}
 	for i := range s.engines {
@@ -194,12 +190,24 @@ func (s *shardRun) replicaDone(ct *container, j sim.Job) {
 	}
 }
 
+// finishEpoch is the per-shard tail of an epoch, run by the goroutine
+// that just drove shard i's engine to the barrier — a worker, or the
+// coordinator when the pool is one worker wide. The shard is untouched
+// by anyone else until its ack, so this work overlaps across workers
+// and stays off the serial barrier.
+func (s *shardRun) finishEpoch(i int) {
+	if s.c.ob != nil {
+		s.accScan(i)
+	}
+	if s.collectDone {
+		orderRun(s.shards[i].done)
+	}
+}
+
 // accScan folds the epoch's served completions from shard i's outbox
-// into its windowed accumulator — a tight sequential pass run by the
-// worker that just finished the shard's epoch, so the aggregation
-// stays out of the event loop and overlaps across workers. The outbox
-// holds exactly this epoch's records (barriers flush it), and the
-// shard is untouched by anyone else until its ack.
+// into its windowed accumulator — a tight sequential pass that keeps
+// the aggregation out of the event loop. The outbox holds exactly this
+// epoch's records (barriers flush it).
 func (s *shardRun) accScan(i int) {
 	ss := &s.shards[i]
 	key := s.c.ob.kServed
@@ -311,9 +319,7 @@ func (s *shardRun) start(t Traffic, open bool, conc int) {
 			go func() {
 				for idx := range s.work {
 					s.engines[idx].Run(s.target)
-					if s.c.ob != nil {
-						s.accScan(int(idx))
-					}
+					s.finishEpoch(int(idx))
 					s.ack <- struct{}{}
 				}
 			}()
@@ -415,40 +421,24 @@ func (s *shardRun) barrier() {
 	}
 }
 
-// processDone merges the epoch's completions into canonical
-// (time, replica) order and re-issues closed-loop connections. Within
-// one (time, replica) pair the per-shard buffer order is that replica's
-// own completion order, so the stable sort yields one total order that
-// no shard layout can perturb.
+// processDone re-issues the epoch's closed-loop connections in
+// canonical (time, replica) order. finishEpoch has already put each
+// shard's done run in that order, so the barrier only k-way merges the
+// runs, which equals a stable sort of their concatenation record for
+// record. The order is layout-invariant: a replica lives on exactly one
+// shard, so records with equal keys come from one replica's run, in
+// that replica's own completion order.
 func (s *shardRun) processDone() {
-	s.outbox = s.outbox[:0]
+	m := &s.merge
 	for i := range s.shards {
-		ss := &s.shards[i]
-		s.outbox = append(s.outbox, ss.done...)
-		ss.done = ss.done[:0]
+		m.runs[i] = s.shards[i].done
 	}
-	if len(s.outbox) == 0 {
-		return
+	m.build()
+	for d, ok := m.pop(); ok && d.at < s.c.horizon; d, ok = m.pop() {
+		s.admitNow(d.id)
 	}
-	slices.SortStableFunc(s.outbox, func(a, b doneRec) int {
-		if a.at != b.at {
-			if a.at < b.at {
-				return -1
-			}
-			return 1
-		}
-		if a.rep != b.rep {
-			if a.rep < b.rep {
-				return -1
-			}
-			return 1
-		}
-		return 0
-	})
-	for i := range s.outbox {
-		if s.outbox[i].at < s.c.horizon {
-			s.admitNow(s.outbox[i].id)
-		}
+	for i := range s.shards {
+		s.shards[i].done = s.shards[i].done[:0]
 	}
 }
 
@@ -499,9 +489,7 @@ func (s *shardRun) runTo(next cycles.Cycles) {
 	if s.workers <= 1 {
 		for i, e := range s.engines {
 			e.Run(next)
-			if s.c.ob != nil {
-				s.accScan(i)
-			}
+			s.finishEpoch(i)
 		}
 		return
 	}
